@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -473,7 +474,8 @@ func session(ctx context.Context, c *server.Client, rng *rand.Rand, sql string, 
 		t.clientCancels++
 	}
 	if err != nil {
-		if we, ok := err.(*server.WireError); ok {
+		var we *server.WireError
+		if errors.As(err, &we) {
 			switch we.Kind {
 			case server.ErrKindShed:
 				t.shed++

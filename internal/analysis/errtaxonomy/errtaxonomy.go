@@ -8,7 +8,7 @@
 // the type, and a server error switch that omits a taxonomy member
 // maps it to 500.
 //
-// Three rules:
+// Four rules:
 //
 //  1. ==/!= between two non-nil error values anywhere in the module:
 //     use errors.Is, which sees through wrapping.
@@ -23,6 +23,11 @@
 //     ShedError, Canceled, Exceeded, Injected, badQueryError — because
 //     a partial switch sends the missing members to the default arm
 //     (HTTP 500) and the load harness's status assertions go blind.
+//  4. A type assertion or type-switch case on an error value to a
+//     concrete type anywhere in the module: a wrapped instance never
+//     matches; use errors.As. Interface targets such as
+//     interface{ Unwrap() error } test a capability, not a taxonomy
+//     member, and are not flagged.
 package errtaxonomy
 
 import (
@@ -39,8 +44,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "errtaxonomy",
 	Doc: "enforces the typed-error discipline: no ==/!= on error values (use errors.Is), " +
-		"no fmt.Errorf without %w around an error on a propagation path, and server error " +
-		"switches must cover the full taxonomy (ShedError, Canceled, Exceeded, Injected, badQueryError)",
+		"no fmt.Errorf without %w around an error on a propagation path, server error " +
+		"switches must cover the full taxonomy (ShedError, Canceled, Exceeded, Injected, badQueryError), " +
+		"and no type assertion or type switch on an error to a concrete type (use errors.As)",
 	Run: run,
 }
 
@@ -64,6 +70,7 @@ func run(pass *analysis.Pass) error {
 			}
 			checkCompares(pass, fn)
 			checkWraps(pass, fn)
+			checkAssertions(pass, fn)
 			if pass.Pkg != nil && pass.Pkg.Name() == "server" {
 				checkCoverage(pass, fn)
 			}
@@ -87,6 +94,50 @@ func checkCompares(pass *analysis.Pass, fn *ast.FuncDecl) {
 			pass.Reportf(be.OpPos,
 				"error values compared with %s: wrapped errors never compare equal; use errors.Is",
 				be.Op)
+		}
+		return true
+	})
+}
+
+// checkAssertions flags type assertions and type-switch cases that
+// test an error value against a concrete type (rule 4).
+func checkAssertions(pass *analysis.Pass, fn *ast.FuncDecl) {
+	report := func(target ast.Expr) {
+		t := pass.TypeOf(target)
+		if t == nil || types.IsInterface(t) {
+			return
+		}
+		pass.Reportf(target.Pos(),
+			"type assertion on an error value to concrete type %s: a wrapped instance never "+
+				"matches; use errors.As", types.TypeString(t, types.RelativeTo(pass.Pkg)))
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeAssertExpr:
+			// n.Type is nil for the x.(type) guard of a type switch,
+			// whose cases are checked below.
+			if n.Type != nil && isErrorExpr(pass, n.X) {
+				report(n.Type)
+			}
+		case *ast.TypeSwitchStmt:
+			var guard ast.Expr
+			switch a := n.Assign.(type) {
+			case *ast.ExprStmt:
+				guard = a.X
+			case *ast.AssignStmt:
+				guard = a.Rhs[0]
+			}
+			ta, ok := guard.(*ast.TypeAssertExpr)
+			if !ok || !isErrorExpr(pass, ta.X) {
+				return true
+			}
+			for _, stmt := range n.Body.List {
+				for _, target := range stmt.(*ast.CaseClause).List {
+					if !isNilIdent(target) {
+						report(target)
+					}
+				}
+			}
 		}
 		return true
 	})

@@ -100,3 +100,43 @@ func isShed(err error) bool {
 	var shed *ShedError
 	return errors.As(err, &shed)
 }
+
+// assertShed type-asserts to a concrete member: rule 4.
+func assertShed(err error) string {
+	if se, ok := err.(*ShedError); ok { // want `use errors.As`
+		return se.Tenant
+	}
+	return ""
+}
+
+// switchStatus type-switches on concrete members: rule 4, once per
+// concrete case; the nil case is quiet.
+func switchStatus(err error) int {
+	switch e := err.(type) {
+	case nil:
+		return 200
+	case *Injected: // want `use errors.As`
+		return 502
+	case *badQueryError: // want `use errors.As`
+		_ = e
+		return 400
+	}
+	return 500
+}
+
+// unwrapOnce asserts to an interface, a capability test rather than a
+// taxonomy match: quiet.
+func unwrapOnce(err error) error {
+	if u, ok := err.(interface{ Unwrap() error }); ok {
+		return u.Unwrap()
+	}
+	return nil
+}
+
+// Is lets errors.Is match any *ShedError; errors.Is has already peeled
+// the chain before it calls Is, so the assertion is justified.
+func (e *ShedError) Is(target error) bool {
+	//aggvet:errtaxonomy errors.Is unwraps before calling Is; target is one link of the chain, never a wrapper.
+	_, ok := target.(*ShedError)
+	return ok
+}

@@ -1,12 +1,13 @@
-// Package obs is the waitleak fixture for the observability layer: the
-// sampler's monitor-goroutine pattern, with and without the join that
-// internal/obs promises (Stop closes done and blocks on stopped).
+// Package obs is the waitleak fixture for the monitor-goroutine
+// pattern: a long-lived goroutine launched by Start whose join lives in
+// Stop (which closes done and blocks on stopped), with and without the
+// ownership-transfer justification.
 package obs
 
 import "time"
 
-// sampler mirrors internal/obs.Sampler: Start launches a monitor
-// goroutine whose ownership transfers to Stop.
+// sampler is a periodic monitor: Start launches a goroutine whose
+// ownership transfers to Stop.
 type sampler struct {
 	done    chan struct{}
 	stopped chan struct{}

@@ -283,7 +283,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 					return
 				}
 				r.Attrs = append([]string{}, e.def.OutCols...)
-				e.ct = BuildColTable(r)
+				e.ct = buildColTable(r)
 			}
 			if ev.Metrics == nil {
 				materialize()

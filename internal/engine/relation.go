@@ -115,55 +115,42 @@ func (r *Relation) Sorted() *Relation {
 
 // DB is a collection of named relations (base tables and materialized
 // views), looked up case-insensitively. It implements Storage (see
-// storage.go): scans serve a lazily built, cached columnar image of
-// each relation.
+// storage.go).
 //
-// All relation access is synchronized on db.mu, so mutations (Put,
-// Append, Refresh, Apply) may run concurrently with queries. Readers
-// that need a stable multi-relation view across an entire query take a
-// Snapshot (see storage.go) rather than holding the lock. The
-// concurrency contract this relies on: installed tuple slices are never
-// mutated in place — every mutation path replaces the Tuples slice (or
-// the whole Relation), so a slice header captured by a snapshot stays
-// valid forever.
+// Installed relations are immutable: every mutation (Put, Append,
+// Refresh, Apply) installs a fresh version and never edits an installed
+// relation or its tuple slice in place. Each version carries one
+// columnar image, built lazily by its first scan and shared by DB.Scan
+// and every Snapshot that pinned that version. Embedders that hold a
+// Relation returned by Get must treat it as read-only and re-Put a
+// changed copy.
+//
+// The map of installed versions is guarded by db.mu, so mutations may
+// run concurrently with queries. Readers that need a stable
+// multi-relation view across an entire query take a Snapshot rather
+// than holding the lock.
 type DB struct {
 	mu   sync.Mutex
-	rels map[string]*Relation
-	cols map[string]*ColTable // cached columnar images, by lowercased name
-	vers map[string]uint64    // per-relation version counters
-	gen  uint64               // global version: bumped on every install
+	rels map[string]*version
 
-	// onInvalidate, when set, observes every Invalidate (see
+	// onInvalidate, when set, observes every loud install (see
 	// SetOnInvalidate in storage.go). Guarded by mu; invoked outside it.
 	onInvalidate func(name string)
 }
 
 // NewDB returns an empty database.
-func NewDB() *DB { return &DB{rels: map[string]*Relation{}} }
+func NewDB() *DB { return &DB{rels: map[string]*version{}} }
 
 func lowerKey(name string) string { return strings.ToLower(name) }
 
-// installLocked replaces a relation under db.mu: new version, dropped
-// columnar image. Callers fire the invalidation hook (if any) after
-// releasing the lock.
-func (db *DB) installLocked(key string, r *Relation) {
-	db.rels[key] = r
-	delete(db.cols, key)
-	if db.vers == nil {
-		db.vers = map[string]uint64{}
-	}
-	db.vers[key]++
-	db.gen++
-}
-
-// Put stores a relation under a name, replacing any previous one and
-// dropping its cached columnar image. The invalidation hook fires: a
+// Put stores a relation under a name, replacing any previous version;
+// r must not be edited afterwards. The invalidation hook fires: a
 // wholesale replacement can make any dependent plan or materialization
 // stale.
 func (db *DB) Put(name string, r *Relation) {
 	key := lowerKey(name)
 	db.mu.Lock()
-	db.installLocked(key, r)
+	db.rels[key] = &version{rel: r}
 	fn := db.onInvalidate
 	db.mu.Unlock()
 	if fn != nil {
@@ -177,15 +164,15 @@ func (db *DB) Put(name string, r *Relation) {
 func (db *DB) Append(name string, rows ...[]value.Value) bool {
 	key := lowerKey(name)
 	db.mu.Lock()
-	r, ok := db.rels[key]
+	v, ok := db.rels[key]
 	if !ok {
 		db.mu.Unlock()
 		return false
 	}
-	nt := make([][]value.Value, 0, len(r.Tuples)+len(rows))
-	nt = append(nt, r.Tuples...)
+	nt := make([][]value.Value, 0, len(v.rel.Tuples)+len(rows))
+	nt = append(nt, v.rel.Tuples...)
 	nt = append(nt, rows...)
-	db.installLocked(key, &Relation{Attrs: r.Attrs, Tuples: nt})
+	db.rels[key] = &version{rel: &Relation{Attrs: v.rel.Attrs, Tuples: nt}}
 	fn := db.onInvalidate
 	db.mu.Unlock()
 	if fn != nil {
@@ -194,14 +181,14 @@ func (db *DB) Append(name string, rows ...[]value.Value) bool {
 	return true
 }
 
-// Refresh silently replaces a relation: new version, dropped image, but
-// no invalidation hook. It is the install path for maintained
+// Refresh silently replaces a relation: a new version, but no
+// invalidation hook. It is the install path for maintained
 // materializations that absorbed a delta — the content changed but
 // every prepared plan over the view is still valid, so evicting warm
 // plans would be pure waste (plans re-read storage on every execution).
 func (db *DB) Refresh(name string, r *Relation) {
 	db.mu.Lock()
-	db.installLocked(lowerKey(name), r)
+	db.rels[lowerKey(name)] = &version{rel: r}
 	db.mu.Unlock()
 }
 
@@ -224,7 +211,7 @@ func (db *DB) Apply(batch []Commit) {
 	var loud []string
 	for _, c := range batch {
 		key := lowerKey(c.Name)
-		db.installLocked(key, c.Rel)
+		db.rels[key] = &version{rel: c.Rel}
 		if !c.Silent {
 			loud = append(loud, key)
 		}
@@ -238,41 +225,14 @@ func (db *DB) Apply(batch []Commit) {
 	}
 }
 
-// Get looks up a relation by name.
+// Get looks up the installed version of a relation by name. The
+// returned relation is shared and must not be mutated.
 func (db *DB) Get(name string) (*Relation, bool) {
 	db.mu.Lock()
-	r, ok := db.rels[lowerKey(name)]
+	v, ok := db.rels[lowerKey(name)]
 	db.mu.Unlock()
-	return r, ok
-}
-
-// Version returns the relation's version counter (0 if absent). Every
-// Put/Append/Refresh/Apply install bumps it; snapshots record the
-// versions they pinned.
-func (db *DB) Version(name string) uint64 {
-	db.mu.Lock()
-	v := db.vers[lowerKey(name)]
-	db.mu.Unlock()
-	return v
-}
-
-// Generation returns the global install counter: it advances on every
-// relation install of any name.
-func (db *DB) Generation() uint64 {
-	db.mu.Lock()
-	g := db.gen
-	db.mu.Unlock()
-	return g
-}
-
-// Names returns the sorted names (lowercased) of all stored relations.
-func (db *DB) Names() []string {
-	db.mu.Lock()
-	names := make([]string, 0, len(db.rels))
-	for k := range db.rels {
-		names = append(names, k)
+	if !ok {
+		return nil, false
 	}
-	db.mu.Unlock()
-	sort.Strings(names)
-	return names
+	return v.rel, true
 }

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"sort"
+	"maps"
 	"sync"
 	"sync/atomic"
 
 	"aggview/internal/faultinject"
-	"aggview/internal/value"
 )
 
 // ColTable is the columnar image of one stored relation: one typed
@@ -25,8 +24,8 @@ func (c *ColTable) NumRows() int { return c.n }
 // budget.Limits.MaxMemBytes once per operation that scans the table.
 func (c *ColTable) Bytes() int64 { return c.bytes }
 
-// BuildColTable converts a row-major relation into its columnar image.
-func BuildColTable(r *Relation) *ColTable {
+// buildColTable converts a row-major relation into its columnar image.
+func buildColTable(r *Relation) *ColTable {
 	ct := &ColTable{n: len(r.Tuples), cols: make([]*Vec, len(r.Attrs))}
 	for pos := range r.Attrs {
 		v := colVecOf(r.Tuples, pos)
@@ -36,11 +35,27 @@ func BuildColTable(r *Relation) *ColTable {
 	return ct
 }
 
+// version is one installed relation: its immutable rows plus their
+// columnar image, built at most once, by the first scan, outside any
+// DB lock. Every install creates a new version, so an image can never
+// go stale and needs no freshness check.
+type version struct {
+	rel  *Relation
+	once sync.Once
+	ct   *ColTable
+}
+
+func (v *version) image() *ColTable {
+	v.once.Do(func() { v.ct = buildColTable(v.rel) })
+	return v.ct
+}
+
 // Storage resolves FROM sources to columnar tables; it is the engine's
-// data-access seam. The in-memory *DB is the first implementation;
-// FaultStorage, which fails scans with typed I/O-style errors, is the
-// second. Implementations must be safe for concurrent Scan calls — the
-// evaluator consults storage from concurrent Exec calls.
+// data-access seam. The in-memory *DB and its Snapshots are the first
+// implementations; FaultStorage, which fails scans with typed
+// I/O-style errors, is the second. Implementations must be safe for
+// concurrent Scan calls — the evaluator consults storage from
+// concurrent Exec calls.
 //
 // Scan returns (nil, false, nil) for an unknown name, in which case the
 // evaluator falls back to its view source. A non-nil error models an
@@ -50,30 +65,16 @@ type Storage interface {
 	Scan(name string) (*ColTable, bool, error)
 }
 
-// Scan implements Storage over the database's relations, building each
-// columnar image lazily on first scan and caching it until the relation
-// is replaced (Put/Append/Refresh/Apply) or explicitly invalidated. A
-// cached image is reused only while the relation's row count is
-// unchanged; embedders that mutate tuples in place without changing the
-// count must call Invalidate or re-Put the relation (the maintainer
-// never does — it installs fresh relations).
+// Scan implements Storage over the installed version of each relation,
+// returning that version's shared columnar image.
 func (db *DB) Scan(name string) (*ColTable, bool, error) {
-	key := lowerKey(name)
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	r, ok := db.rels[key]
+	v, ok := db.rels[lowerKey(name)]
+	db.mu.Unlock()
 	if !ok {
 		return nil, false, nil
 	}
-	if ct, ok := db.cols[key]; ok && ct.n == len(r.Tuples) {
-		return ct, true, nil
-	}
-	ct := BuildColTable(r)
-	if db.cols == nil {
-		db.cols = map[string]*ColTable{}
-	}
-	db.cols[key] = ct
-	return ct, true, nil
+	return v.image(), true, nil
 }
 
 // Snapshot is an immutable, point-in-time view of every relation in a
@@ -84,120 +85,60 @@ func (db *DB) Scan(name string) (*ColTable, bool, error) {
 // the MVCC read side of incremental view maintenance (DESIGN.md
 // section 14).
 //
-// Pinning is cheap: the snapshot captures slice headers (and any
-// already-fresh columnar images), not copies. This is sound because
-// every DB mutation path is copy-on-write — installed Tuples slices are
-// never written in place, and appends install a fresh slice.
+// Pinning copies version pointers, not rows, and every snapshot of one
+// version shares that version's columnar image with DB.Scan.
 type Snapshot struct {
-	mu   sync.Mutex
-	rels map[string]*snapRel
-	vers map[string]uint64
-	gen  uint64
-}
-
-type snapRel struct {
-	attrs  []string
-	tuples [][]value.Value
-	ct     *ColTable // lazily built; seeded from the DB cache when fresh
+	rels map[string]*version
 }
 
 // Snapshot pins the current version of every relation.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &Snapshot{
-		rels: make(map[string]*snapRel, len(db.rels)),
-		vers: make(map[string]uint64, len(db.rels)),
-		gen:  db.gen,
-	}
-	for key, r := range db.rels {
-		sr := &snapRel{attrs: r.Attrs, tuples: r.Tuples[:len(r.Tuples):len(r.Tuples)]}
-		if ct, ok := db.cols[key]; ok && ct.n == len(r.Tuples) {
-			sr.ct = ct
-		}
-		s.rels[key] = sr
-		s.vers[key] = db.vers[key]
-	}
-	return s
+	return &Snapshot{rels: maps.Clone(db.rels)}
 }
 
-// Scan implements Storage against the pinned versions. Columnar images
-// are built lazily per snapshot and shared with the DB cache when the
-// DB's image was already fresh at pin time.
+// With returns a snapshot that reads staged relations (keyed by
+// lowercased name) in place of the pinned ones, a later map winning
+// over an earlier one. Each replacement is a fresh version with its own
+// lazily built image; s is unchanged.
+func (s *Snapshot) With(staged ...map[string]*Relation) *Snapshot {
+	rels := maps.Clone(s.rels)
+	for _, over := range staged {
+		for key, r := range over {
+			rels[key] = &version{rel: r}
+		}
+	}
+	return &Snapshot{rels: rels}
+}
+
+// Scan implements Storage against the pinned versions.
 func (s *Snapshot) Scan(name string) (*ColTable, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr, ok := s.rels[lowerKey(name)]
+	v, ok := s.rels[lowerKey(name)]
 	if !ok {
 		return nil, false, nil
 	}
-	if sr.ct == nil {
-		sr.ct = BuildColTable(&Relation{Attrs: sr.attrs, Tuples: sr.tuples})
-	}
-	return sr.ct, true, nil
+	return v.image(), true, nil
 }
 
 // Relation returns the pinned rows of a relation as a fresh Relation
 // header (the tuple data is shared and must not be mutated).
 func (s *Snapshot) Relation(name string) (*Relation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr, ok := s.rels[lowerKey(name)]
+	v, ok := s.rels[lowerKey(name)]
 	if !ok {
 		return nil, false
 	}
-	return &Relation{Attrs: sr.attrs, Tuples: sr.tuples}, true
-}
-
-// Version returns the pinned version counter of a relation (0 if the
-// relation was absent at pin time).
-func (s *Snapshot) Version(name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vers[lowerKey(name)]
-}
-
-// Generation returns the DB's global install counter at pin time.
-func (s *Snapshot) Generation() uint64 { return s.gen }
-
-// Names returns the sorted (lowercased) relation names pinned by the
-// snapshot.
-func (s *Snapshot) Names() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.rels))
-	for k := range s.rels {
-		names = append(names, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// Invalidate drops the cached columnar image of a relation whose tuples
-// were mutated in place, so the next scan rebuilds it, and notifies the
-// registered invalidation hook (see SetOnInvalidate). It is the single
-// seam every mutation path funnels through — Put, the facade's Insert,
-// and incremental view maintenance all call it — which is what lets a
-// plan cache layered above the storage observe every change that could
-// make a prepared plan stale.
-func (db *DB) Invalidate(name string) {
-	db.mu.Lock()
-	delete(db.cols, lowerKey(name))
-	fn := db.onInvalidate
-	db.mu.Unlock()
-	if fn != nil {
-		// Called outside db.mu so the hook may consult the database (or
-		// take its own locks) without deadlocking against a concurrent
-		// Scan.
-		fn(lowerKey(name))
-	}
+	n := len(v.rel.Tuples)
+	return &Relation{Attrs: v.rel.Attrs, Tuples: v.rel.Tuples[:n:n]}, true
 }
 
 // SetOnInvalidate registers fn to be called, with the lowercased
-// relation name, after every Invalidate (including the implicit one in
-// Put). The server's plan cache registers its eviction here. Like Put,
-// SetOnInvalidate must not race queries: install the hook before
-// serving. A nil fn unregisters.
+// relation name, after every loud install: Put, Append, and the
+// non-silent commits of an Apply batch. Refresh and silent commits do
+// not fire it. The server's plan cache registers its eviction here.
+// Like Put, SetOnInvalidate must not race queries: install the hook
+// before serving. A nil fn unregisters. The hook runs outside db.mu,
+// so it may consult the database.
 func (db *DB) SetOnInvalidate(fn func(name string)) {
 	db.mu.Lock()
 	db.onInvalidate = fn

@@ -3,11 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
 	"aggview/internal/ir"
+	"aggview/internal/value"
 )
 
 // TestFaultStorageContract holds the engine to the I/O-error contract:
@@ -148,7 +151,8 @@ func TestExecContextCacheEntriesBudget(t *testing.T) {
 
 // TestDBOnInvalidateHook pins the invalidation seam the serving layer's
 // plan cache hangs off: the hook fires with the lowercased relation
-// name on every explicit Invalidate and on every Put, and a nil fn
+// name on Put, Append and the loud commits of an Apply batch, in batch
+// order; Refresh and silent commits never fire it; a nil fn
 // unregisters it.
 func TestDBOnInvalidateHook(t *testing.T) {
 	db := NewDB()
@@ -156,20 +160,124 @@ func TestDBOnInvalidateHook(t *testing.T) {
 	db.SetOnInvalidate(func(name string) { fired = append(fired, name) })
 
 	db.Put("Sales", NewRelation("a"))
-	db.Invalidate("SALES")
-	if len(fired) != 2 || fired[0] != "sales" || fired[1] != "sales" {
-		t.Fatalf("hook observed %v, want [sales sales]", fired)
+	db.Append("SALES", []value.Value{value.Int(1)})
+	if db.Append("Missing", []value.Value{value.Int(1)}) {
+		t.Fatal("Append to an absent relation reported success")
+	}
+	db.Refresh("Sales", NewRelation("a"))
+	db.Apply([]Commit{
+		{Name: "Items", Rel: NewRelation("b")},
+		{Name: "VSales", Rel: NewRelation("a"), Silent: true},
+		{Name: "Sales", Rel: NewRelation("a")},
+	})
+	if want := []string{"sales", "sales", "items", "sales"}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("hook observed %v, want %v", fired, want)
 	}
 
-	// The hook must be able to consult the database without deadlocking
-	// (it is invoked outside db.mu).
+	// The hook runs outside db.mu, so it may consult the database, and
+	// it already sees the version that fired it.
 	db.SetOnInvalidate(func(name string) {
-		if _, _, err := db.Scan("Sales"); err != nil {
-			t.Errorf("hook scan: %v", err)
+		ct, ok, err := db.Scan(name)
+		if err != nil || !ok || ct.NumRows() != 2 {
+			t.Errorf("hook scan of %s: rows=%v ok=%v err=%v, want the new 2-row version", name, ct.NumRows(), ok, err)
 		}
 	})
-	db.Invalidate("Sales")
+	db.Put("Sales", relOf(2))
 
 	db.SetOnInvalidate(nil)
-	db.Invalidate("Sales") // must not panic
+	db.Put("Sales", NewRelation("a")) // must not panic
+}
+
+// relOf returns a one-column relation holding the ints 0..n-1.
+func relOf(n int) *Relation {
+	r := NewRelation("a")
+	for i := 0; i < n; i++ {
+		r.Add(value.Int(int64(i)))
+	}
+	return r
+}
+
+func mustScan(t *testing.T, st Storage, name string) *ColTable {
+	t.Helper()
+	ct, ok, err := st.Scan(name)
+	if err != nil || !ok {
+		t.Fatalf("scan %s: ok=%v err=%v", name, ok, err)
+	}
+	return ct
+}
+
+// TestImageSharedPerVersion pins the storage contract: installed
+// relations are immutable and each version has exactly one columnar
+// image, shared by DB.Scan and every snapshot that pinned it. Every
+// install path starts a new version with a new image, while older
+// snapshots keep scanning the rows they pinned.
+func TestImageSharedPerVersion(t *testing.T) {
+	db := NewDB()
+	db.Put("R", relOf(1))
+	s1, s2 := db.Snapshot(), db.Snapshot()
+	img := mustScan(t, s1, "R")
+	if mustScan(t, s2, "r") != img || mustScan(t, db, "R") != img {
+		t.Fatal("two snapshots of one version and DB.Scan returned different images")
+	}
+
+	installs := []struct {
+		name string
+		rows int
+		do   func()
+	}{
+		{"Put", 3, func() { db.Put("R", relOf(3)) }},
+		{"Append", 4, func() { db.Append("R", []value.Value{value.Int(9)}) }},
+		{"Refresh", 2, func() { db.Refresh("R", relOf(2)) }},
+		{"Apply", 5, func() { db.Apply([]Commit{{Name: "R", Rel: relOf(5), Silent: true}}) }},
+	}
+	prev, prevImg, prevRows := s1, img, 1
+	for _, in := range installs {
+		in.do()
+		s := db.Snapshot()
+		got := mustScan(t, s, "R")
+		if got == prevImg {
+			t.Fatalf("%s: a new snapshot reused the previous version's image", in.name)
+		}
+		if got.NumRows() != in.rows {
+			t.Fatalf("%s: new image has %d rows, want %d", in.name, got.NumRows(), in.rows)
+		}
+		if mustScan(t, db, "R") != got || mustScan(t, db.Snapshot(), "R") != got {
+			t.Fatalf("%s: DB.Scan and a second snapshot do not share the new image", in.name)
+		}
+		old := mustScan(t, prev, "R")
+		if old != prevImg || old.NumRows() != prevRows {
+			t.Fatalf("%s: older snapshot scans %d rows, want its pinned %d", in.name, old.NumRows(), prevRows)
+		}
+		if r, _ := prev.Relation("R"); r.Len() != prevRows {
+			t.Fatalf("%s: older snapshot's relation has %d rows, want %d", in.name, r.Len(), prevRows)
+		}
+		prev, prevImg, prevRows = s, got, in.rows
+	}
+}
+
+// TestImageBuiltOncePerVersion races the first scans of one version
+// from DB.Scan and several snapshots: all of them must get the same
+// image (run it under -race).
+func TestImageBuiltOncePerVersion(t *testing.T) {
+	db := NewDB()
+	db.Put("R", relOf(5000))
+	stores := []Storage{db}
+	for i := 0; i < 8; i++ {
+		stores = append(stores, db.Snapshot())
+	}
+	imgs := make([]*ColTable, len(stores))
+	var wg sync.WaitGroup
+	for i, st := range stores {
+		wg.Add(1)
+		go func(i int, st Storage) {
+			defer wg.Done()
+			imgs[i], _, _ = st.Scan("R")
+		}(i, st)
+	}
+	wg.Wait()
+	for i, img := range imgs {
+		if img == nil || img != imgs[0] {
+			t.Fatalf("scan %d got a different image than scan 0", i)
+		}
+	}
 }

@@ -86,8 +86,7 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 	db2, reg2 := mkDB()
 	start = time.Now()
 	for b := 0; b < batches; b++ {
-		rel, _ := db2.Get("Txns")
-		rel.Tuples = append(rel.Tuples, mkBatch(b)...)
+		db2.Append("Txns", mkBatch(b)...)
 		res, err := engine.NewEvaluator(db2, nil).ExecContext(ctx, mustView(reg2, "DailyAcct").Def)
 		if err != nil {
 			panic(err)

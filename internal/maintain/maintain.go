@@ -567,7 +567,8 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err := budget.Check(ctx, "maintain.recompute"); err != nil {
 				return err
 			}
-			store := &overlayStorage{db: m.db, over: merged(overlay, staged)}
+			// The database as it will be once the batch commits.
+			store := m.db.Snapshot().With(overlay, staged)
 			ev := m.evaluator()
 			ev.Store = store
 			rel, err := ev.ExecContext(ctx, st.def.Def)
@@ -681,49 +682,6 @@ func removeBag(tuples, deletes [][]value.Value, table string) ([][]value.Value, 
 	return out, nil
 }
 
-// overlayStorage resolves scans against staged relations first, then
-// the live database. It is the engine's view of "the database as it
-// will be" (recompute) or "the database with one table swapped for a
-// delta" (delta evaluation).
-type overlayStorage struct {
-	mu   sync.Mutex
-	db   *engine.DB
-	over map[string]*engine.Relation
-	cols map[string]*engine.ColTable
-}
-
-func merged(a, b map[string]*engine.Relation) map[string]*engine.Relation {
-	out := make(map[string]*engine.Relation, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// Scan implements engine.Storage.
-func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
-	key := strings.ToLower(name)
-	o.mu.Lock()
-	rel, ok := o.over[key]
-	if !ok {
-		o.mu.Unlock()
-		return o.db.Scan(name)
-	}
-	ct, cached := o.cols[key]
-	if !cached {
-		ct = engine.BuildColTable(rel)
-		if o.cols == nil {
-			o.cols = map[string]*engine.ColTable{}
-		}
-		o.cols[key] = ct
-	}
-	o.mu.Unlock()
-	return ct, true, nil
-}
-
 // applyDeltaLocked evaluates the view's delta queries with table bound
 // to rows and folds the result into the pending group state with the
 // given sign (+1 insert, -1 delete).
@@ -737,10 +695,10 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, st *state, p *pending
 			return fmt.Errorf("maintain: unknown table %q", table)
 		}
 	}
+	// The database with this batch's earlier tables committed and table
+	// swapped for the delta rows.
 	delta := &engine.Relation{Attrs: base.Attrs, Tuples: rows}
-	over := merged(committed, nil)
-	over[strings.ToLower(table)] = delta
-	store := &overlayStorage{db: m.db, over: over}
+	store := m.db.Snapshot().With(committed, map[string]*engine.Relation{strings.ToLower(table): delta})
 	ev := m.evaluator()
 	ev.Store = store
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -36,24 +37,6 @@ type ShedError struct {
 
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("server: shed tenant=%q reason=%s retry_after=%s", e.Tenant, e.Reason, e.RetryAfter)
-}
-
-// IsShed reports whether err is (or wraps) a *ShedError.
-func IsShed(err error) bool {
-	for ; err != nil; err = unwrap(err) {
-		if _, ok := err.(*ShedError); ok {
-			return true
-		}
-	}
-	return false
-}
-
-func unwrap(err error) error {
-	u, ok := err.(interface{ Unwrap() error })
-	if !ok {
-		return nil
-	}
-	return u.Unwrap()
 }
 
 // TenantConfig is one tenant's admission quota and per-request resource
@@ -239,15 +222,17 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) (cfg TenantConfi
 	cfg = a.Config(tenant)
 	if cfg.Rate > 0 {
 		if err := a.bucketFor(tenant, cfg).acquire(ctx, a.now, a.metrics); err != nil {
-			if IsShed(err) {
-				a.metrics.Volatile("server.shed." + err.(*ShedError).Reason).Inc()
+			var se *ShedError
+			if errors.As(err, &se) {
+				a.metrics.Volatile("server.shed." + se.Reason).Inc()
 			}
 			return cfg, nil, err
 		}
 	}
 	release, err = a.acquireGlobal(ctx)
 	if err != nil {
-		if se, ok := err.(*ShedError); ok {
+		var se *ShedError
+		if errors.As(err, &se) {
 			se.Tenant = tenant
 			a.metrics.Volatile("server.shed." + se.Reason).Inc()
 		}

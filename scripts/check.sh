@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# The serving benchmark (perfbench/) is its own module with
+# `replace aggview => ../`, so the root build never compiles it; vet
+# and test it here so an engine API change cannot break it silently.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Project-specific static analysis (DESIGN.md section 8): the nine
 # aggvet analyzers guard the determinism, float-comparison,
 # IR-construction and goroutine-join invariants plus the fact-based v2
