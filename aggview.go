@@ -388,10 +388,12 @@ func parseUpdate(table, set, where string) (*sqlparser.Update, error) {
 	return upd, nil
 }
 
-// applyDelete partitions the table's rows by the parsed condition and
-// routes the matching rows out as a deletion — through the maintainer
-// when views are tracked (so materializations absorb the delta), as a
-// copy-on-write relation swap otherwise.
+// applyDelete partitions the table's rows by the compiled condition
+// and routes the matching rows out as a deletion — through the
+// maintainer when views are tracked (so materializations absorb the
+// delta), as a copy-on-write relation swap otherwise. The rows handed
+// to the maintainer are the installed version's own row slices, which
+// it removes by identity.
 func (s *System) applyDelete(ctx context.Context, del *sqlparser.Delete) (int, error) {
 	t, ok := s.Catalog.Table(del.Table)
 	if !ok {
@@ -401,22 +403,30 @@ func (s *System) applyDelete(ctx context.Context, del *sqlparser.Delete) (int, e
 	if !ok || rel.Len() == 0 {
 		return 0, nil
 	}
+	match, err := sqlparser.CompileCond(del.Where, rel.Attrs)
+	if err != nil {
+		return 0, err
+	}
+	tracked := s.maint != nil
 	var deletes, kept [][]Value
+	if !tracked {
+		kept = make([][]Value, 0, len(rel.Tuples))
+	}
 	for _, row := range rel.Tuples {
-		match, err := sqlparser.EvalCond(del.Where, rel.Attrs, row)
+		hit, err := match(row)
 		if err != nil {
 			return 0, err
 		}
-		if match {
+		if hit {
 			deletes = append(deletes, row)
-		} else {
+		} else if !tracked {
 			kept = append(kept, row)
 		}
 	}
 	if len(deletes) == 0 {
 		return 0, nil
 	}
-	if s.maint != nil {
+	if tracked {
 		if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: deletes}); err != nil {
 			return 0, err
 		}
@@ -429,9 +439,9 @@ func (s *System) applyDelete(ctx context.Context, del *sqlparser.Delete) (int, e
 	return len(deletes), nil
 }
 
-// applyUpdate computes each matching row's replacement from the SET
-// assignments (evaluated over the old values) and routes the change as
-// a paired delete+insert, which counting maintenance applies
+// applyUpdate computes each matching row's replacement from the
+// compiled SET list (evaluated over the old values) and routes the
+// change as a paired delete+insert, which counting maintenance applies
 // atomically.
 func (s *System) applyUpdate(ctx context.Context, upd *sqlparser.Update) (int, error) {
 	t, ok := s.Catalog.Table(upd.Table)
@@ -442,46 +452,44 @@ func (s *System) applyUpdate(ctx context.Context, upd *sqlparser.Update) (int, e
 	if !ok || rel.Len() == 0 {
 		return 0, nil
 	}
-	setAt := make([]int, len(upd.Set))
-	for i, a := range upd.Set {
-		setAt[i] = -1
-		for j, c := range rel.Attrs {
-			if strings.EqualFold(c, a.Col) {
-				setAt[i] = j
-				break
-			}
-		}
-		if setAt[i] < 0 {
-			return 0, fmt.Errorf("aggview: unknown column %q in UPDATE %s", a.Col, t.Name)
-		}
+	set, err := sqlparser.CompileSet(upd.Set, rel.Attrs)
+	if err != nil {
+		return 0, fmt.Errorf("aggview: UPDATE %s: %w", t.Name, err)
 	}
-	var olds, news [][]Value
-	next := make([][]Value, 0, len(rel.Tuples))
+	match, err := sqlparser.CompileCond(upd.Where, rel.Attrs)
+	if err != nil {
+		return 0, err
+	}
+	tracked := s.maint != nil
+	var olds, news, next [][]Value
+	if !tracked {
+		next = make([][]Value, 0, len(rel.Tuples))
+	}
 	for _, row := range rel.Tuples {
-		match, err := sqlparser.EvalCond(upd.Where, rel.Attrs, row)
+		hit, err := match(row)
 		if err != nil {
 			return 0, err
 		}
-		if !match {
-			next = append(next, row)
+		if !hit {
+			if !tracked {
+				next = append(next, row)
+			}
 			continue
 		}
-		repl := append([]Value{}, row...)
-		for i, a := range upd.Set {
-			v, err := sqlparser.EvalExpr(a.Expr, rel.Attrs, row)
-			if err != nil {
-				return 0, err
-			}
-			repl[setAt[i]] = v
+		repl, err := set.Apply(row)
+		if err != nil {
+			return 0, err
 		}
 		olds = append(olds, row)
 		news = append(news, repl)
-		next = append(next, repl)
+		if !tracked {
+			next = append(next, repl)
+		}
 	}
 	if len(olds) == 0 {
 		return 0, nil
 	}
-	if s.maint != nil {
+	if tracked {
 		if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: olds, Inserts: news}); err != nil {
 			return 0, err
 		}

@@ -118,7 +118,7 @@ func run(scriptPath, addr, addrFile string, paper bool, workers int, cfg server.
 	}
 	fmt.Fprintf(os.Stderr, "aggserve: listening on %s\n", bound)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -140,6 +140,29 @@ func run(scriptPath, addr, addrFile string, paper bool, workers int, cfg server.
 	fmt.Fprintf(os.Stderr, "aggserve: shut down cleanly (plan cache: %d hits, %d misses, %d evictions, %d invalidated)\n",
 		stats.Hits, stats.Misses, stats.Evictions, stats.Invalidated)
 	return nil
+}
+
+// Connection timeouts bound what a slow or stalled client can hold. A
+// client that trickles its request header is cut off after
+// readHeaderTimeout; a whole request, body included, must arrive within
+// readTimeout; an idle keep-alive connection closes after idleTimeout.
+// There is no write timeout: how long a query may run is the tenant
+// deadline's business (-deadline), not the connection's.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the serving handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // loadSystem builds the served system from a SQL script. Declarations

@@ -2,10 +2,8 @@ package oracle
 
 import (
 	"fmt"
-	"strings"
 
 	"aggview/internal/sqlparser"
-	"aggview/internal/value"
 )
 
 // Replay parses a script in the format Script emits — CREATE TABLE,
@@ -84,11 +82,20 @@ func Replay(script string) (*Case, error) {
 	return c, nil
 }
 
-// collapseDelete folds a DELETE into the table's declared rows.
+// collapseDelete folds a DELETE into the table's declared rows. An
+// empty table is left as is without compiling the condition, as the
+// facade does.
 func collapseDelete(t *TableSpec, where sqlparser.Expr) error {
+	if len(t.Rows) == 0 {
+		return nil
+	}
+	match, err := sqlparser.CompileCond(where, t.Cols)
+	if err != nil {
+		return fmt.Errorf("oracle: replay: DELETE FROM %s: %w", t.Name, err)
+	}
 	kept := t.Rows[:0:0]
 	for _, row := range t.Rows {
-		hit, err := sqlparser.EvalCond(where, t.Cols, row)
+		hit, err := match(row)
 		if err != nil {
 			return fmt.Errorf("oracle: replay: DELETE FROM %s: %w", t.Name, err)
 		}
@@ -103,34 +110,28 @@ func collapseDelete(t *TableSpec, where sqlparser.Expr) error {
 // collapseUpdate folds an UPDATE into the table's declared rows;
 // assignment expressions see the old row values.
 func collapseUpdate(t *TableSpec, x *sqlparser.Update) error {
-	setAt := make([]int, len(x.Set))
-	for i, a := range x.Set {
-		setAt[i] = -1
-		for j, c := range t.Cols {
-			if strings.EqualFold(c, a.Col) {
-				setAt[i] = j
-				break
-			}
-		}
-		if setAt[i] < 0 {
-			return fmt.Errorf("oracle: replay: UPDATE %s: unknown column %q", t.Name, a.Col)
-		}
+	if len(t.Rows) == 0 {
+		return nil
+	}
+	set, err := sqlparser.CompileSet(x.Set, t.Cols)
+	if err != nil {
+		return fmt.Errorf("oracle: replay: UPDATE %s: %w", t.Name, err)
+	}
+	match, err := sqlparser.CompileCond(x.Where, t.Cols)
+	if err != nil {
+		return fmt.Errorf("oracle: replay: UPDATE %s: %w", t.Name, err)
 	}
 	for ri, row := range t.Rows {
-		hit, err := sqlparser.EvalCond(x.Where, t.Cols, row)
+		hit, err := match(row)
 		if err != nil {
 			return fmt.Errorf("oracle: replay: UPDATE %s: %w", t.Name, err)
 		}
 		if !hit {
 			continue
 		}
-		next := append([]value.Value{}, row...)
-		for i, a := range x.Set {
-			v, err := sqlparser.EvalExpr(a.Expr, t.Cols, row)
-			if err != nil {
-				return fmt.Errorf("oracle: replay: UPDATE %s SET %s: %w", t.Name, a.Col, err)
-			}
-			next[setAt[i]] = v
+		next, err := set.Apply(row)
+		if err != nil {
+			return fmt.Errorf("oracle: replay: UPDATE %s: %w", t.Name, err)
 		}
 		t.Rows[ri] = next
 	}

@@ -162,8 +162,8 @@ func (e *badQueryError) Unwrap() error { return e.err }
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	tenant := req.Tenant
@@ -351,8 +351,8 @@ func (s *Server) execute(ctx context.Context, sql string) (*engine.Relation, []s
 // impossible.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
@@ -384,8 +384,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // invalidation hook as usual.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
@@ -409,8 +409,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // lock; maintenance semantics match handleDelete.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
@@ -434,8 +434,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // storage backend, for the load harness's fault windows.
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var req FaultsRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	s.mu.Lock()
@@ -570,11 +570,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(data)
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+// maxBodyBytes bounds a request body. A larger body is refused whole
+// with kind too_large (413), never truncated into a parse error.
+const maxBodyBytes = 16 << 20
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
 	}
 	return nil
+}
+
+// writeBodyError reports a request body decodeBody refused: 413 when
+// it exceeded maxBodyBytes, 400 when it was not the expected JSON.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.metrics.Volatile("server.errors.too_large").Inc()
+		s.writeError(w, "", ErrKindTooLarge, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
 }

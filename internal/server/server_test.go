@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -359,6 +360,45 @@ func TestServerErrorBodiesComplete(t *testing.T) {
 		}
 		if eb.Error.Kind != tc.wantKind {
 			t.Errorf("%s: kind=%q, want %q", tc.name, eb.Error.Kind, tc.wantKind)
+		}
+	}
+}
+
+// TestServerBodyTooLarge pins the oversized-body contract: a body over
+// maxBodyBytes is refused whole with kind too_large and status 413 —
+// over a real TCP connection and in process — rather than truncated
+// into a generic parse error, nothing is inserted, and the server keeps
+// serving.
+func TestServerBodyTooLarge(t *testing.T) {
+	sys := servedSystem(t)
+	srv := New(sys, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	const sql = "SELECT region, SUM(amount) FROM Sales GROUP BY region"
+	want, err := sys.QueryContext(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	big := [][]string{{"s:" + strings.Repeat("x", maxBodyBytes), "i:1", "i:1"}}
+	for _, c := range []*Client{
+		{Base: ts.URL},
+		{Base: "http://test", HTTP: &InProcessExec{S: srv}},
+	} {
+		_, err := c.Insert(ctx, "Sales", big)
+		var we *WireError
+		if !errors.As(err, &we) || we.Kind != ErrKindTooLarge || we.Status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized insert returned %v, want kind %s with status 413", c.Base, err, ErrKindTooLarge)
+		}
+		resp, err := c.Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: query after refused insert: %v", c.Base, err)
+		}
+		got, _ := resp.Relation()
+		if !engine.ResultsEqualBag(want, got) {
+			t.Fatalf("%s: refused insert changed the data:\nwant %v\ngot %v", c.Base, want, got)
 		}
 	}
 }

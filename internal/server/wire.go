@@ -212,6 +212,7 @@ type FaultsRequest struct {
 // message text.
 const (
 	ErrKindBadRequest = "bad_request" // malformed JSON, unknown table
+	ErrKindTooLarge   = "too_large"   // request body over the server's limit
 	ErrKindBadQuery   = "bad_query"   // SQL did not parse or plan
 	ErrKindShed       = "shed"        // admission refused the request
 	ErrKindCanceled   = "canceled"    // deadline expired or client went away
